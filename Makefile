@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke lint vet-baseline-update serve-smoke score-smoke gateway-smoke bench-serve bench-train bench-infer bench-score bench-smoke ci
+.PHONY: all build vet fmt-check test race fuzz-smoke lint vet-baseline-update serve-smoke score-smoke gateway-smoke bench-serve bench-train bench-infer bench-score bench-smoke perfbench-build ci
 
 all: build
 
@@ -194,4 +194,12 @@ bench-infer:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward(Legacy|Engine)' -benchtime 10x ./internal/nn
 
-ci: build vet fmt-check race fuzz-smoke lint serve-smoke score-smoke gateway-smoke bench-smoke
+# perfbench/ is its own Go module, so `go build ./...` at the root never
+# compiles it; build and vet it here so a serve or gateway API change
+# cannot silently break the benchmark. Offline: no toolchain or module
+# downloads. The binary goes to /dev/null: a plain `go build` of the
+# module's single main package would drop it inside perfbench/.
+perfbench-build:
+	cd perfbench && export GOTOOLCHAIN=local GOPROXY=off && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+ci: build vet fmt-check race fuzz-smoke lint serve-smoke score-smoke gateway-smoke bench-smoke perfbench-build

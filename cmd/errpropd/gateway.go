@@ -52,7 +52,6 @@ type backendFlags struct {
 	demo     bool
 	models   []modelFlag
 	maxBatch int
-	flush    time.Duration
 	queueCap int
 	workers  int
 	shards   int
@@ -65,7 +64,6 @@ func backendArgs(f backendFlags) []string {
 	args := []string{
 		"-format", f.format,
 		"-max-batch", strconv.Itoa(f.maxBatch),
-		"-flush", f.flush.String(),
 		"-queue", strconv.Itoa(f.queueCap),
 		"-workers", strconv.Itoa(f.workers),
 		"-engine-shards", strconv.Itoa(f.shards),

@@ -109,9 +109,8 @@ func run(args []string) error {
 		demo     = fs.Bool("demo", false, "also register a built-in demo model named \"demo\"")
 		portfile = fs.String("portfile", "", "write the bound address to this file once listening")
 
-		maxBatch = fs.Int("max-batch", 32, "micro-batch size limit")
-		flush    = fs.Duration("flush", 2*time.Millisecond, "micro-batch flush deadline")
-		queueCap = fs.Int("queue", 1024, "admission queue capacity per model")
+		maxBatch = fs.Int("max-batch", 32, "most samples per forward pass (requests coalesce only under load)")
+		queueCap = fs.Int("queue", 1024, "admission queue capacity per model, in samples")
 		workers  = fs.Int("workers", 4, "inference engines per model")
 		shards   = fs.Int("engine-shards", 1, "goroutines each engine splits a batch across (bit-identical for any value)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
@@ -149,7 +148,7 @@ func run(args []string) error {
 			seed:       *seed,
 			backendArgs: backendArgs(backendFlags{
 				format: *format, demo: *demo, models: models,
-				maxBatch: *maxBatch, flush: *flush, queueCap: *queueCap,
+				maxBatch: *maxBatch, queueCap: *queueCap,
 				workers: *workers, shards: *shards, timeout: *timeout,
 			}),
 		})
@@ -184,7 +183,6 @@ func run(args []string) error {
 
 	srv := errprop.NewServer(errprop.ServeConfig{
 		MaxBatch:       *maxBatch,
-		FlushInterval:  *flush,
 		QueueCap:       *queueCap,
 		Workers:        *workers,
 		EngineShards:   *shards,

@@ -135,9 +135,9 @@ type Health struct {
 	// Draining means Close has started: alive, finishing in-flight work,
 	// accepting nothing new.
 	Draining bool `json:"draining"`
-	// QueueDepth is the summed admission-queue depth across models — a
-	// load signal for probes that want to route around a backlogged
-	// backend before it starts shedding.
+	// QueueDepth is the samples queued across models, admitted but not
+	// yet taken by a worker — a load signal for probes that want to route
+	// around a backlogged backend before it starts shedding.
 	QueueDepth int `json:"queue_depth"`
 	// Models lists registered model names, sorted.
 	Models []string `json:"models"`

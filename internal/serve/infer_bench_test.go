@@ -264,8 +264,7 @@ func TestServeBenchHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
 	}
-	s := New(Config{Workers: 1, MaxBatch: 8, FlushInterval: time.Millisecond,
-		QueueCap: 256, RequestTimeout: 30 * time.Second})
+	s := New(Config{Workers: 1, MaxBatch: 8, QueueCap: 256, RequestTimeout: 30 * time.Second})
 	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
 		t.Fatal(err)
 	}

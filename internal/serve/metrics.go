@@ -116,8 +116,9 @@ type ModelStats struct {
 	// Admitted counts samples accepted into the queue, incremented at
 	// admission — unlike Samples, which counts at completion — so
 	// Admitted > Samples+QueueDepth exposes in-flight work.
-	Admitted   int64 `json:"admitted_total"`
-	QueueDepth int   `json:"queue_depth"`
+	Admitted int64 `json:"admitted_total"`
+	// QueueDepth counts samples admitted but not yet taken by a worker.
+	QueueDepth int `json:"queue_depth"`
 }
 
 // Snapshot is a point-in-time view of the metrics plane, also the JSON
@@ -177,7 +178,7 @@ func (s *Server) Metrics() Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		md := s.models[name]
-		depth := len(md.queue)
+		depth := int(md.depth.Load())
 		snap.QueueDepth += depth
 		snap.Models[name] = ModelStats{
 			Format:     md.format.String(),

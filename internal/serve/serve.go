@@ -4,9 +4,9 @@
 //
 // Architecture (all stdlib):
 //
-//	handler -> bounded admission queue -> dynamic micro-batcher -> worker pool
-//	            (503 + Retry-After        (flush on max batch      (one compiled
-//	             when full)                size or deadline)         Engine each)
+//	handler -> bounded admission queue -> work-conserving batcher -> worker pool
+//	            (whole requests; 503 +     (dispatch the moment a     (one compiled
+//	             Retry-After when full)     worker is free)            Engine each)
 //
 // Each registered model owns one admission queue, one batcher goroutine
 // and Config.Workers worker goroutines. A worker holds a private
@@ -17,10 +17,18 @@
 // the mutable per-call state a shared *nn.Network cannot (Forward on a
 // network caches per-layer state for Backward). Engine.Forward is
 // bit-identical to Network.Forward, so the model's error-flow analysis
-// applies to the served path verbatim. The batcher gives the service its
-// throughput: requests arriving within FlushInterval of each other are
-// coalesced into one (features x batch) forward pass, amortizing
-// per-call dispatch and allocation overhead across the batch.
+// applies to the served path verbatim.
+//
+// A request is admitted whole or not at all: its samples are counted
+// against Config.QueueCap in one step, and it travels the queue as one
+// entry. The batcher has no flush timer and never waits for a batch to
+// fill: it hands what it holds to the first free worker, and only while
+// the server is saturated does it absorb more queued requests into the
+// next batch, up to Config.MaxBatch samples; a request larger than that
+// is split across consecutive batches. Coalescing therefore happens
+// exactly under load, where one (features x batch) forward pass
+// amortizes per-call dispatch and weight traffic, and costs an idle
+// server no latency (see batchLoop).
 //
 // Error budgets: a request may carry a QoI tolerance (and optionally the
 // input reconstruction error of a lossy-compressed payload). The server
@@ -53,14 +61,13 @@ import (
 // Config tunes the service. The zero value is usable; every field has a
 // production-shaped default.
 type Config struct {
-	// MaxBatch is the micro-batcher's maximum batch size (default 32).
-	// 1 disables coalescing: every request runs as its own forward pass.
+	// MaxBatch is the most samples one forward pass runs (default 32).
+	// 1 disables coalescing: every sample runs as its own forward pass.
 	MaxBatch int
-	// FlushInterval is how long the batcher waits for more requests
-	// after the first one before flushing a partial batch (default 2ms).
-	FlushInterval time.Duration
-	// QueueCap bounds the per-model admission queue (default 1024). A
-	// full queue rejects with 503 + Retry-After instead of blocking.
+	// QueueCap bounds the samples queued per model, waiting for a worker
+	// (default 1024). A request that does not fit rejects whole with
+	// 503 + Retry-After instead of blocking; one larger than QueueCap is
+	// refused with 413.
 	QueueCap int
 	// Workers is the number of compiled inference engines serving each model
 	// (default 4).
@@ -84,9 +91,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
@@ -137,6 +141,11 @@ type Server struct {
 	planMu      sync.Mutex
 	planGraphs  map[string]*core.Node
 	graphBuilds atomic.Int64 // graph constructions, for the dedupe regression test
+
+	// gate, when set (tests only, before Register), is called by a worker
+	// with each batch's sample count before running it, and may block to
+	// hold the worker busy.
+	gate func(samples int)
 }
 
 // New builds a server (no listening socket; mount Server.Handler).
@@ -171,8 +180,9 @@ type model struct {
 	outDim   int
 	checksum string // CRC32C identity: serialized network (spec path) or artifact body (artifact path)
 
-	queue chan *item   // admission queue (bounded)
-	work  chan []*item // batcher -> workers (unbuffered: backpressure)
+	queue chan *request // admission queue, one entry per request
+	work  chan batch    // batcher -> workers (unbuffered: backpressure)
+	depth atomic.Int64  // samples admitted but not yet taken by a worker
 
 	enqMu  sync.RWMutex // guards queue close vs. concurrent sends
 	closed bool
@@ -186,15 +196,31 @@ type model struct {
 	srv *Server
 }
 
-// item is one sample travelling through the batcher. done is closed by
-// exactly one of: a worker (out or err set) or the skip path for an
-// expired context.
-type item struct {
-	ctx  context.Context
-	x    []float64
-	out  []float64
-	err  error
-	done chan struct{}
+// request is one admitted predict call travelling through the batcher.
+// Its samples may be split across batches run by different workers;
+// each writes only its own out slots, and whichever finishes the last
+// sample closes done. expired records that some segment was skipped
+// because the request's context ended first.
+type request struct {
+	ctx     context.Context
+	x       [][]float64
+	out     [][]float64
+	left    atomic.Int64 // samples not yet finished
+	expired atomic.Bool
+	done    chan struct{}
+}
+
+func newRequest(ctx context.Context, samples [][]float64) *request {
+	r := &request{ctx: ctx, x: samples, out: make([][]float64, len(samples)), done: make(chan struct{})}
+	r.left.Store(int64(len(samples)))
+	return r
+}
+
+// finish marks n of the request's samples done.
+func (r *request) finish(n int) {
+	if r.left.Add(-int64(n)) == 0 {
+		close(r.done)
+	}
 }
 
 // Register adds a named model served at weight format f. The network is
@@ -251,8 +277,8 @@ func (s *Server) Register(name string, net *nn.Network, f numfmt.Format) error {
 		inDim:    net.InputDim,
 		outDim:   engines[0].OutputDim(),
 		checksum: sum,
-		queue:    make(chan *item, s.cfg.QueueCap),
-		work:     make(chan []*item),
+		queue:    make(chan *request, s.cfg.QueueCap),
+		work:     make(chan batch),
 		srv:      s,
 	}
 
@@ -298,8 +324,8 @@ func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 		inDim:    art.Net.InputDim,
 		outDim:   engines[0].OutputDim(),
 		checksum: art.Checksum,
-		queue:    make(chan *item, s.cfg.QueueCap),
-		work:     make(chan []*item),
+		queue:    make(chan *request, s.cfg.QueueCap),
+		work:     make(chan batch),
 		srv:      s,
 	}
 	return s.install(m, engines)
@@ -338,7 +364,7 @@ func (s *Server) install(m *model, engines []*nn.Engine) error {
 	s.models[m.name] = m
 
 	m.wg.Add(1 + len(engines))
-	go m.batchLoop(s.cfg.MaxBatch, s.cfg.FlushInterval)
+	go m.batchLoop(s.cfg.MaxBatch)
 	for _, eng := range engines {
 		go m.workLoop(eng)
 	}
@@ -368,14 +394,15 @@ func (s *Server) model(name string) (*model, bool) {
 // Draining reports whether Close has started.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// QueueDepth reports the summed admission-queue depth across models —
-// the backlog a request admitted right now would sit behind.
+// QueueDepth reports the samples queued across models, admitted but not
+// yet taken by a worker — the backlog a request admitted right now
+// would sit behind.
 func (s *Server) QueueDepth() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	depth := 0
 	for _, m := range s.models {
-		depth += len(m.queue) //lint:ignore maporder integer addition commutes; the sum is order-independent
+		depth += int(m.depth.Load()) //lint:ignore maporder integer addition commutes; the sum is order-independent
 	}
 	return depth
 }
@@ -407,54 +434,53 @@ func (s *Server) Close() {
 	<-s.closed
 }
 
-// enqueue admits one item without blocking.
-func (m *model) enqueue(it *item) error {
+// enqueue admits a whole request without blocking, or none of it: its
+// samples are reserved against QueueCap in one step. The channel send
+// cannot block, because every entry in the channel carries at least one
+// reserved sample and the channel holds QueueCap entries.
+func (m *model) enqueue(r *request) error {
+	n := int64(len(r.x))
 	m.enqMu.RLock()
 	defer m.enqMu.RUnlock()
 	if m.closed {
 		return ErrDraining
 	}
-	select {
-	case m.queue <- it:
-		// Counted at admission (requests/samples count at completion), so
-		// observers — drain tests, operators watching a wedged model — can
-		// distinguish "accepted but stuck" from "never arrived".
-		m.admitted.Add(1)
-		return nil
-	default:
-		return ErrBusy
+	for {
+		d := m.depth.Load()
+		if d+n > int64(m.srv.cfg.QueueCap) {
+			return ErrBusy
+		}
+		if m.depth.CompareAndSwap(d, d+n) {
+			break
+		}
 	}
+	m.queue <- r
+	// Counted at admission (requests/samples count at completion), so
+	// observers — drain tests, operators watching a wedged model — can
+	// distinguish "accepted but stuck" from "never arrived".
+	m.admitted.Add(n)
+	return nil
 }
 
-// predict pushes samples through the batcher and waits for every result
-// (or ctx expiry). Admission is all-or-nothing from the caller's view:
-// on a full queue the request is rejected, though samples admitted
-// before the rejection still execute and are discarded.
+// predict admits samples (at least one; the handler rejects empty
+// requests) as one request and waits for every result (or ctx expiry).
+// A rejected request admits nothing.
 func (m *model) predict(ctx context.Context, samples [][]float64) ([][]float64, error) {
-	items := make([]*item, len(samples))
-	for i, x := range samples {
-		items[i] = &item{ctx: ctx, x: x, done: make(chan struct{})}
+	r := newRequest(ctx, samples)
+	if err := m.enqueue(r); err != nil {
+		return nil, err
 	}
-	for _, it := range items {
-		if err := m.enqueue(it); err != nil {
-			return nil, err
-		}
-	}
-	outs := make([][]float64, len(items))
-	for i, it := range items {
-		select {
-		case <-it.done:
-			if it.err != nil {
-				return nil, it.err
-			}
-			outs[i] = it.out
-		case <-ctx.Done():
+	select {
+	case <-r.done:
+		if r.expired.Load() {
 			return nil, ctx.Err()
 		}
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 	m.requests.Add(1)
 	m.samples.Add(int64(len(samples)))
-	return outs, nil
+	return r.out, nil
 }
 
 // checkBudget evaluates the model's predicted QoI bound (quantization

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,58 +355,74 @@ func TestGracefulDrain(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestDrainFlushesPartialBatch parks a request inside the batcher's
-// coalescing wait (a 30s FlushInterval no test could sit out) and then
-// drains: Close must flush the partial batch immediately via the queue
-// close rather than wait for the flush timer, complete the in-flight
-// request with 200, and reject new work with 503.
+// TestDrainFlushesPartialBatch holds the only worker, queues requests
+// behind it (a full batch plus a partial one), and drains: Close must
+// reject new work with 503 at once, then run everything already
+// admitted — the partial batch included — and answer every admitted
+// request with 200 before it returns.
 func TestDrainFlushesPartialBatch(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 32, FlushInterval: 30 * time.Second,
-		QueueCap: 64, RequestTimeout: time.Minute})
-	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s, m, g, ts := newGatedServer(t, Config{Workers: 1, MaxBatch: 4})
 
-	// Park one item: enqueue is synchronous, so after it returns the item
-	// is in the queue; once the queue length drops to zero the batcher has
-	// pulled it and is (or is about to be) blocked coalescing.
-	m, ok := s.model("h2")
-	if !ok {
-		t.Fatal("model not registered")
-	}
-	it := &item{ctx: context.Background(), x: make([]float64, 9), done: make(chan struct{})}
-	if err := m.enqueue(it); err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(m.queue) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("batcher never pulled the parked item")
+	const queued = 5
+	codes := make(chan int, 1+queued)
+	post := func(x []float64) {
+		body, err := json.Marshal(PredictRequest{Model: "h2", Inputs: [][]float64{x}})
+		if err != nil {
+			t.Error(err)
 		}
-		time.Sleep(time.Millisecond)
+		resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	rows := seededRows(1+queued, 7)
+	go post(rows[0])
+	if n := g.next(); n != 1 {
+		t.Fatalf("first batch %d samples, want 1", n)
+	}
+	for _, x := range rows[1:] {
+		go post(x)
+	}
+	waitAdmitted(m, 1+queued)
+	waitAbsorbed(m, 1)
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for !s.Draining() {
+		runtime.Gosched()
+	}
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", PredictRequest{Model: "h2", Inputs: rows[:1]})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("predict during drain: status %d, want 503", resp.StatusCode)
 	}
 
-	start := time.Now()
-	s.Close()
-	closeTook := time.Since(start)
-	// Close must not sit out the 30s flush timer: the queue close is what
-	// wakes fillBatch. Generous slack for a loaded CI box, but far below
-	// the interval.
-	if closeTook > 10*time.Second {
-		t.Fatalf("Close took %v: drain waited on the flush timer", closeTook)
-	}
-	select {
-	case <-it.done:
-		if it.err != nil || len(it.out) == 0 {
-			t.Fatalf("parked item finished err=%v out=%v, want a result", it.err, it.out)
+	var sizes []int
+	g.release <- struct{}{}
+	for done := false; !done; {
+		select {
+		case n := <-g.taken:
+			sizes = append(sizes, n)
+			g.release <- struct{}{}
+		case <-closed:
+			done = true
 		}
-	default:
-		t.Fatal("parked item still unresolved after Close returned")
 	}
-	in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
+	if want := []int{4, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("drained batch sizes %v, want %v", sizes, want)
+	}
+	for range 1 + queued {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("admitted request finished with %d during drain, want 200", code)
+		}
+	}
+	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/predict", PredictRequest{Model: "h2", Inputs: rows[:1]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain predict: status %d, want 503", resp.StatusCode)
 	}
